@@ -9,9 +9,10 @@
 // layer already provides: every trial's RNG stream is split from the
 // campaign seed by the *global* trial index (never shard index or
 // worker identity), and all shard tallies are commutative integer
-// counts carried as PR 1 Checkpoints — so any disjoint cover of the
-// trial range, in any dispatch order, with any re-shard history, merges
-// to the same SummaryRecord bytes.
+// counts carried as faultsim Checkpoints and folded by one
+// faultsim.Merger — so any disjoint cover of the trial range, in any
+// dispatch order, with any re-shard history, merges to the same
+// SummaryRecord bytes.
 package dist
 
 import (

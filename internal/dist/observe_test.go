@@ -299,11 +299,10 @@ func TestRetiredTokenDropsStaleReports(t *testing.T) {
 	pool := NewPool(PoolConfig{})
 	prog := telemetry.NewProgress()
 	m := faultsim.NewMerger(c, golden)
-	dp := newDistProgress(pool, prog, "cid:test", c.Trials, m)
 
-	token := dp.attach()
+	token, _ := pool.track(m, prog)
 	if token == "" {
-		t.Fatal("attach returned no token")
+		t.Fatal("track returned no token")
 	}
 	rep := ShardProgressReport{Token: token, Worker: "w1",
 		Status: faultsim.ShardStatus{Start: 0, End: 30, Done: 10, Success: 10}}
@@ -313,7 +312,7 @@ func TestRetiredTokenDropsStaleReports(t *testing.T) {
 	lastEvent := func() telemetry.ProgressEvent {
 		t.Helper()
 		for _, ev := range prog.Latest() {
-			if ev.Kind == telemetry.KindCampaign && ev.Key == "cid:test" {
+			if ev.Kind == telemetry.KindCampaign && ev.Key == m.Identity() {
 				return ev
 			}
 		}
@@ -326,14 +325,14 @@ func TestRetiredTokenDropsStaleReports(t *testing.T) {
 
 	// The chunk requeues: the worker's trials will re-execute elsewhere,
 	// so its reported tallies must vanish, not linger to double-count.
-	dp.retire(token)
+	pool.untrack(m, token)
 	if pool.ReportProgress(rep) {
 		t.Fatal("retired token accepted")
 	}
 	if st := pool.Stats(); st.ProgressStale != 1 || st.ProgressReports != 1 {
 		t.Fatalf("stale accounting = %+v, want 1 stale / 1 accepted", st)
 	}
-	dp.finish(nil, false)
+	m.Publish(prog, telemetry.StateDone)
 	if ev := lastEvent(); ev.Done != 0 || ev.State != telemetry.StateDone {
 		t.Fatalf("after retire+finish, event = {state %s, done %d}, want {done, 0}", ev.State, ev.Done)
 	}

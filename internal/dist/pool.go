@@ -87,7 +87,7 @@ type Pool struct {
 	// progress.go).
 	progMu    sync.Mutex
 	progSeq   uint64
-	progSinks map[string]func(ShardProgressReport)
+	progSinks map[string]faultsim.ShardObserver
 }
 
 // poolWorker is one registered execution node.
@@ -368,10 +368,15 @@ func shardRanges(trials, parts, minShard int) [][2]int {
 // Distribute runs the campaign across the registered workers.  The
 // second return is false when no worker is alive — the caller's cue to
 // fall back to plain local execution.  Once handled, the campaign
-// always resolves here: chunks of workers that die re-dispatch to
-// survivors, and whatever remains when the last worker is gone runs
-// locally through the same shard engine, so the merged Summary is
-// bit-identical to a single-node run regardless of the loss history.
+// always resolves here.  One chunk-drain loop feeds one
+// faultsim.Merger through two executors: each alive worker drains the
+// chunk queue by remote dispatch until the queue empties or the worker
+// fails (its chunk requeues for the others), and whatever remains when
+// the last worker is gone drains locally through faultsim.RunShardCtx.
+// Every trial's RNG stream depends only on the campaign seed and its
+// global index, so the merged Summary is bit-identical to a single-node
+// run regardless of the loss history.  Live progress is the Merger's:
+// each chunk attempt reports in-flight tallies under its own token.
 func (p *Pool) Distribute(ctx context.Context, c faultsim.Campaign, golden *faultsim.Golden) (*faultsim.Summary, bool, error) {
 	if c.Trials < 1 {
 		return nil, false, nil
@@ -395,102 +400,91 @@ func (p *Pool) Distribute(ctx context.Context, c faultsim.Campaign, golden *faul
 	queue := &chunkQueue{chunks: shardRanges(c.Trials, len(alive)*p.cfg.ShardsPerWorker, p.cfg.MinShard)}
 	log.Info("distributing campaign", "id", c.Identity(),
 		"trials", c.Trials, "workers", len(alive), "chunks", len(queue.chunks))
+	bus := tel.Progress()
+	m.Publish(bus, telemetry.StateRunning)
 
-	// Live progress (nil when the context carries no bus): workers stream
-	// in-flight tallies back, merged chunks settle into the Merger, and
-	// the combined view feeds the same events a local run publishes.
-	dp := newDistProgress(p, tel.Progress(), c.Identity(), c.Trials, m)
-	dp.publish(telemetry.StateRunning)
+	// drain runs chunks through exec until the queue is empty or closed,
+	// merging each result and calling merged after it.  A chunk whose
+	// execution or merge fails goes back on the queue and drain returns
+	// the error.  Merging before the attempt's token retires keeps the
+	// published Done count monotone.
+	type executor func(r [2]int, token string, report faultsim.ShardObserver) (*faultsim.ShardResult, error)
+	drain := func(exec executor, merged func(r [2]int)) error {
+		for {
+			r, ok := queue.pop()
+			if !ok {
+				return nil
+			}
+			token, report := p.track(m, bus)
+			res, err := exec(r, token, report)
+			if err == nil {
+				err = m.Merge(res)
+			}
+			p.untrack(m, token)
+			if err != nil {
+				queue.requeue(r)
+				return fmt.Errorf("chunk [%d,%d): %w", r[0], r[1], err)
+			}
+			m.Publish(bus, telemetry.StateRunning)
+			merged(r)
+			if m.AbnormalExceeded() {
+				queue.close()
+				return nil
+			}
+		}
+	}
 
 	var wg sync.WaitGroup
 	for _, wk := range alive {
 		wg.Add(1)
 		go func(wk *poolWorker) {
 			defer wg.Done()
-			for {
-				r, ok := queue.pop()
-				if !ok {
-					return
-				}
-				token := dp.attach()
-				res, err := p.dispatch(ctx, tel, wk, spec, r, token, reqID)
-				if err != nil {
-					// The chunk goes back for survivors (or the local
-					// tail); this worker sits out the rest of the
-					// campaign until its heartbeats prove it back.  Its
-					// token retires with it, so any straggler progress
-					// reports cannot double-count the re-executed trials.
-					dp.retire(token)
-					queue.requeue(r)
-					p.shardsRequeued.Add(1)
-					wk.mu.Lock()
-					wk.failed++
-					wk.mu.Unlock()
-					log.Warn("shard dispatch failed, requeued",
-						"worker", wk.id, "start", r[0], "end", r[1], "err", err)
-					return
-				}
-				if err := m.Merge(res); err != nil {
-					// A result that does not merge is a protocol bug or a
-					// hostile worker; treat like a dispatch failure.
-					dp.retire(token)
-					queue.requeue(r)
-					p.shardsRequeued.Add(1)
-					log.Warn("shard result rejected", "worker", wk.id, "err", err)
-					return
-				}
-				dp.settle(token)
+			err := drain(func(r [2]int, token string, _ faultsim.ShardObserver) (*faultsim.ShardResult, error) {
+				return p.dispatch(ctx, tel, wk, spec, r, token, reqID)
+			}, func([2]int) {
 				p.shardsCompleted.Add(1)
 				wk.mu.Lock()
 				wk.done++
 				wk.mu.Unlock()
-				if m.AbnormalExceeded() {
-					queue.close()
-					return
-				}
+			})
+			if err != nil {
+				// This worker sits out the rest of the campaign until its
+				// heartbeats prove it back; its retired token keeps any
+				// straggler reports from double-counting the re-executed
+				// trials.
+				p.shardsRequeued.Add(1)
+				wk.mu.Lock()
+				wk.failed++
+				wk.mu.Unlock()
+				log.Warn("shard failed, requeued", "worker", wk.id, "err", err)
 			}
 		}(wk)
 	}
 	wg.Wait()
 
-	// Whatever the dead left behind runs locally through the same shard
-	// engine — same per-trial RNG streams, so still bit-identical.
-	if !m.AbnormalExceeded() {
-		for {
-			r, ok := queue.pop()
-			if !ok {
-				break
-			}
-			runCtx := ctx
-			token := dp.attach()
-			if token != "" {
-				runCtx = faultsim.WithShardObserver(ctx, func(st faultsim.ShardStatus) {
-					dp.report(ShardProgressReport{Token: token, Status: st})
-				})
-			}
-			res, err := faultsim.RunShardCtx(runCtx, c, golden, r[0], r[1])
-			if err != nil {
-				dp.finish(err, ctx.Err() != nil)
-				return nil, true, fmt.Errorf("dist: local completion of [%d,%d): %w", r[0], r[1], err)
-			}
-			if err := m.Merge(res); err != nil {
-				dp.finish(err, false)
-				return nil, true, err
-			}
-			dp.settle(token)
-			p.shardsLocal.Add(1)
-			log.Info("completed shard locally", "start", r[0], "end", r[1])
-			if m.AbnormalExceeded() {
-				break
-			}
+	err := drain(func(r [2]int, _ string, report faultsim.ShardObserver) (*faultsim.ShardResult, error) {
+		return faultsim.RunShardCtx(faultsim.WithShardObserver(ctx, report), c, golden, r[0], r[1])
+	}, func(r [2]int) {
+		p.shardsLocal.Add(1)
+		log.Info("completed shard locally", "start", r[0], "end", r[1])
+	})
+	var sum *faultsim.Summary
+	if err == nil {
+		sum, err = m.Summary()
+	} else {
+		err = fmt.Errorf("dist: local completion: %w", err)
+	}
+	state := telemetry.StateDone
+	if err != nil {
+		state = telemetry.StateFailed
+		if ctx.Err() != nil {
+			state = telemetry.StateInterrupted
 		}
 	}
-	sum, err := m.Summary()
+	m.Publish(bus, state)
 	if err != nil {
-		dp.finish(err, false)
 		return nil, true, err
 	}
-	dp.finish(nil, false)
 	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: m.Done()})
 	return sum, true, nil
 }

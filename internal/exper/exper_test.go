@@ -3,6 +3,7 @@ package exper
 import (
 	"bytes"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	_ "resmod/internal/apps/cg"
@@ -11,6 +12,7 @@ import (
 	_ "resmod/internal/apps/mg"
 	_ "resmod/internal/apps/minife"
 	_ "resmod/internal/apps/pennant"
+	"resmod/internal/faultsim"
 )
 
 // tiny returns a session sized for unit testing (statistics are noisy but
@@ -191,6 +193,32 @@ func TestPropagationGroupingErrors(t *testing.T) {
 func TestPredictOneUnknownApp(t *testing.T) {
 	if _, err := PredictOne(tiny(t), "nope", "", 4, 8); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestPredictOneValidation: bad scales are rejected before any campaign
+// is scheduled.
+func TestPredictOneValidation(t *testing.T) {
+	cases := []struct {
+		name         string
+		small, large int
+	}{
+		// A 1-rank small scale has no parallel-unique stream to inject.
+		{"small=1", 1, 4},
+		{"small does not divide large", 3, 8},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var campaigns atomic.Int64
+			s := NewSession(Config{Trials: 12, Seed: 42,
+				OnCampaign: func(string, *faultsim.Summary) { campaigns.Add(1) }})
+			if _, err := PredictOne(s, "CG", "", tc.small, tc.large); err == nil {
+				t.Fatalf("small=%d large=%d accepted", tc.small, tc.large)
+			}
+			if n := campaigns.Load(); n != 0 {
+				t.Fatalf("%d campaign(s) scheduled before rejection", n)
+			}
+		})
 	}
 }
 

@@ -44,6 +44,13 @@ func gatherModelInputs(s *Session, a apps.App, class string, small, large int) (
 
 func gatherModelInputsTimed(ctx context.Context, s *Session, a apps.App, class string, small, large int) (
 	*core.Inputs, time.Duration, time.Duration, stats.Rates, error) {
+	// A one-rank deployment has no parallel-unique computation to
+	// profile, so small=1 would fail only late, in the unique-region
+	// campaign; reject it before any campaign is scheduled.
+	if small < 2 {
+		return nil, 0, 0, stats.Rates{}, fmt.Errorf(
+			"exper: prediction needs small >= 2, got small=%d large=%d", small, large)
+	}
 	xs, err := core.SampleXs(large, small)
 	if err != nil {
 		return nil, 0, 0, stats.Rates{}, err

@@ -87,6 +87,15 @@ func TestSharedBudgetBoundsConcurrentCampaigns(t *testing.T) {
 	// both campaigns must still complete every trial.
 	var cur, max int64
 	app := gaugeApp{cur: &cur, max: &max}
+	// The golden run executes outside the budget (it is not a trial), so
+	// it is computed up front: a golden still running while the other
+	// campaign's trials hold both tokens would otherwise read as a third
+	// trial in flight.
+	golden, err := ComputeGolden(app, "", 2, apps.DefaultTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	atomic.StoreInt64(&max, 0)
 	pool := NewWorkerBudget(2)
 	var wg sync.WaitGroup
 	sums := make([]*Summary, 2)
@@ -95,10 +104,10 @@ func TestSharedBudgetBoundsConcurrentCampaigns(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sums[i], errs[i] = Run(Campaign{
+			sums[i], errs[i] = RunAgainst(Campaign{
 				App: app, Procs: 2, Trials: 20, Seed: uint64(i + 1),
 				Workers: 4, Pool: pool,
-			})
+			}, golden)
 		}(i)
 	}
 	wg.Wait()

@@ -283,19 +283,13 @@ func RunCtx(ctx context.Context, c Campaign) (*Summary, error) {
 	if c.App == nil {
 		return nil, errors.New("faultsim: Campaign.App is nil")
 	}
-	if c.Class == "" {
-		c.Class = c.App.DefaultClass()
-	}
 	if c.Procs < 1 {
 		return nil, fmt.Errorf("faultsim: invalid Procs %d", c.Procs)
 	}
 	if c.Trials < 1 {
 		return nil, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = apps.DefaultTimeout
-	}
-
+	c = c.withDefaults(nil)
 	golden, err := ComputeGoldenCtx(ctx, c.App, c.Class, c.Procs, c.Timeout)
 	if err != nil {
 		return nil, err
@@ -309,62 +303,69 @@ func RunAgainst(c Campaign, golden *Golden) (*Summary, error) {
 	return RunAgainstCtx(context.Background(), c, golden)
 }
 
-// RunAgainstCtx is RunAgainst under a context.  On cancellation or an
-// exhausted Budget it returns the partial Summary flagged Interrupted (and,
-// when Checkpoint is set, persists a resumable snapshot first).  Campaign
-// errors — invalid configuration, or more than MaxAbnormal abnormal trials
-// — are returned as errors; the abnormal-overflow error cites the lowest
-// failing trial index observed, independent of worker scheduling.
-func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// withDefaults applies every campaign default in one place: the golden's
+// app and class (when golden is non-nil), the outcome-affecting
+// Normalized defaults, and the Workers, Timeout and AbnormalRetries
+// execution knobs.  RunAgainstCtx, RunShardCtx and NewMerger all start
+// here, so the identity each embeds or expects is the same.
+func (c Campaign) withDefaults(golden *Golden) Campaign {
+	if golden != nil {
+		if c.App == nil {
+			c.App = golden.App
+		}
+		if c.Class == "" {
+			c.Class = golden.Class
+		}
 	}
-	if c.App == nil {
-		c.App = golden.App
-	}
-	if c.Class == "" {
-		c.Class = golden.Class
-	}
-	if golden.Procs != c.Procs {
-		return nil, fmt.Errorf("faultsim: golden has %d procs, campaign wants %d",
-			golden.Procs, c.Procs)
-	}
-	if c.Trials < 1 {
-		return nil, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
-	}
-	if c.Errors < 1 {
-		c.Errors = 1
-	}
+	c = c.Normalized()
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = apps.DefaultTimeout
 	}
-	if c.ContaminationTol == 0 {
-		c.ContaminationTol = DefaultContaminationTol
-	}
 	if c.AbnormalRetries == 0 {
 		c.AbnormalRetries = DefaultAbnormalRetries
 	}
+	return c
+}
 
-	if c.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Budget)
-		defer cancel()
+// prepare applies the defaults and checks that the campaign can run
+// against golden.
+func (c Campaign) prepare(golden *Golden) (Campaign, error) {
+	c = c.withDefaults(golden)
+	if golden.Procs != c.Procs {
+		return c, fmt.Errorf("faultsim: golden has %d procs, campaign wants %d",
+			golden.Procs, c.Procs)
 	}
-	// abort lets a worker that exhausts the abnormal budget stop the
-	// others promptly instead of letting them burn through their remaining
-	// trials.
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
+	if c.Trials < 1 {
+		return c, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
+	}
+	return c, nil
+}
 
-	start := time.Now()
-	agg := newAggregate(c.Procs, c.Trials)
+// RunAgainstCtx is RunAgainst under a context.  On cancellation or an
+// exhausted Budget it returns the partial Summary flagged Interrupted (and,
+// when Checkpoint is set, persists a resumable snapshot first).  Campaign
+// errors — invalid configuration, or more than MaxAbnormal abnormal trials
+// — are returned as errors; the abnormal-overflow error cites the lowest
+// failing trial index observed, independent of worker scheduling.
+//
+// The campaign is a Merger fed by the trial loop over [0, Trials): a
+// resumed checkpoint is merged in first, checkpoints are the Merger's
+// snapshots, and live progress is the Merger's published view.
+func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	c, err := c.prepare(golden)
+	if err != nil {
+		return nil, err
+	}
+	m := NewMerger(c, golden)
 	if c.hooks != nil {
-		agg.hook = c.hooks.trialDone
+		m.agg.hook = c.hooks.trialDone
 	}
-	identity := c.Identity()
 
 	// Telemetry: one campaign span covering the whole deployment, trial
 	// outcomes/latency into the sink, structured completion events.  The
@@ -372,37 +373,36 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 	// only the recording calls themselves (no-ops when telemetry is off).
 	tel := telemetry.From(ctx)
 	ctx, span := tel.Tracer().Start(ctx, "campaign",
-		telemetry.String("id", identity),
+		telemetry.String("id", m.identity),
 		telemetry.Int("procs", c.Procs),
 		telemetry.Int("trials", c.Trials),
 		telemetry.Int("workers", c.Workers))
 	defer span.End()
 
 	if c.Resume && c.Checkpoint != "" {
-		if err := agg.restoreFromFile(c.Checkpoint, identity); err != nil {
+		if err := m.resume(c.Checkpoint); err != nil {
 			return nil, err
 		}
 		tel.Logger().Debug("campaign resumed from checkpoint",
-			"campaign", identity, "path", c.Checkpoint, "done", agg.doneCount())
+			"campaign", m.identity, "path", c.Checkpoint, "done", m.Done())
 	}
 	// Live progress: an opening snapshot (a resumed campaign announces
 	// its restored trial count), periodic snapshots from the trial loop,
-	// and a terminal snapshot on every summary-producing exit.  nil when
-	// the context carries no Progress bus.
-	prog := newCampaignProgress(tel.Progress(), c, identity, agg.doneCount())
-	prog.publish(agg, telemetry.StateRunning)
+	// and a terminal snapshot on every summary-producing exit.
+	bus := tel.Progress()
+	m.Publish(bus, telemetry.StateRunning)
 	// writeCheckpoint snapshots the tallies, tracing and counting each
 	// write (the final write's error is the caller's to handle).
 	writeCheckpoint := func() error {
 		_, sp := tel.Tracer().Start(ctx, "checkpoint",
 			telemetry.String("path", c.Checkpoint))
-		err := SaveCheckpoint(c.Checkpoint, agg.snapshot(identity))
+		err := SaveCheckpoint(c.Checkpoint, m.agg.snapshot(m.identity))
 		sp.End()
 		if err == nil {
 			tel.Sink().CheckpointWrite()
 		} else {
 			tel.Logger().Warn("checkpoint write failed",
-				"campaign", identity, "path", c.Checkpoint, "err", err)
+				"campaign", m.identity, "path", c.Checkpoint, "err", err)
 		}
 		return err
 	}
@@ -435,6 +435,66 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		}()
 	}
 
+	every := progressEvery(c)
+	interrupted := runRange(ctx, c, golden, m.agg, 0, c.Trials, func(done uint64) {
+		if done%every == 0 {
+			m.Publish(bus, telemetry.StateRunning)
+		}
+	})
+
+	if c.Checkpoint != "" {
+		close(ckptStop)
+		ckptWG.Wait()
+		if err := writeCheckpoint(); err != nil {
+			return nil, fmt.Errorf("faultsim: writing checkpoint: %w", err)
+		}
+	}
+	if err := m.agg.fatalError(c.MaxAbnormal); err != nil {
+		m.Publish(bus, telemetry.StateFailed)
+		return nil, err
+	}
+
+	sum := m.agg.summary(golden)
+	sum.Elapsed = time.Since(m.start)
+	if sum.TrialsDone+sum.Abnormal < uint64(c.Trials) && interrupted != nil {
+		sum.Interrupted = true
+	}
+	state := telemetry.StateDone
+	if sum.Interrupted {
+		state = telemetry.StateInterrupted
+	}
+	m.Publish(bus, state)
+	tel.Sink().CampaignDone(sum.Elapsed)
+	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: sum.TrialsDone},
+		telemetry.Attr{Key: "interrupted", Value: sum.Interrupted})
+	logCampaign(tel, m.identity, sum)
+	return sum, nil
+}
+
+// runRange is the campaign executor's one trial loop: local, resumed,
+// sharded and distributed runs all execute their trials here.  It runs
+// trials [start, end) of the prepared campaign into agg, skipping trials
+// agg already holds (restored from a checkpoint).  Workers goroutines
+// stride over the range, each reusing one apps.Arena and holding one
+// WorkerBudget token per in-flight trial; abnormal trials are retried,
+// and one past the MaxAbnormal budget stops every worker.  onRecord sees
+// the tallied-trial count after each recorded trial.  The result is the
+// cause of an interruption (cancellation or an exhausted Budget), nil
+// when the range ran out or the abnormal budget stopped it.
+func runRange(ctx context.Context, c Campaign, golden *Golden, agg *aggregate, start, end int, onRecord func(done uint64)) error {
+	if c.Budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.Budget)
+		defer cancel()
+	}
+	// abort lets a worker that exhausts the abnormal budget stop the
+	// others promptly instead of letting them burn through their remaining
+	// trials.
+	runCtx := ctx
+	ctx, abort := context.WithCancel(ctx)
+	defer abort()
+
+	tel := telemetry.From(ctx)
 	base := stats.NewRNG(c.Seed)
 	sink := tel.Sink()
 	var wg sync.WaitGroup
@@ -443,17 +503,18 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 		go func(w int) {
 			defer wg.Done()
 			_, bspan := tel.Tracer().Start(ctx, "trial-batch", telemetry.Int("worker", w))
-			done := 0
+			ran := 0
 			defer func() {
-				bspan.SetAttr(telemetry.Int("trials", done))
+				bspan.SetAttr(telemetry.Int("trials", ran))
 				bspan.End()
 			}()
 			// One arena per worker: trials reuse the simulated world's
 			// channel fabric and the per-rank fpe contexts instead of
 			// rebuilding them, cutting steady-state per-trial allocation
-			// to what the application itself allocates.
+			// to what the application itself allocates.  Pooled state
+			// never affects trial results.
 			arena := apps.NewArena()
-			for t := w; t < c.Trials; t += c.Workers {
+			for t := start + w; t < end; t += c.Workers {
 				if ctx.Err() != nil {
 					return
 				}
@@ -481,37 +542,18 @@ func RunAgainstCtx(ctx context.Context, c Campaign, golden *Golden) (*Summary, e
 					}
 					continue
 				}
-				prog.trialRecorded(agg.record(t, rec), agg)
+				done := agg.record(t, rec)
 				sink.TrialDone(rec.Outcome.String(), time.Since(t0))
-				done++
+				ran++
+				onRecord(done)
 			}
 		}(w)
 	}
 	wg.Wait()
-
-	if c.Checkpoint != "" {
-		close(ckptStop)
-		ckptWG.Wait()
-		if err := writeCheckpoint(); err != nil {
-			return nil, fmt.Errorf("faultsim: writing checkpoint: %w", err)
-		}
+	if runCtx.Err() != nil {
+		return context.Cause(runCtx)
 	}
-	if err := agg.fatalError(c.MaxAbnormal); err != nil {
-		prog.publish(agg, telemetry.StateFailed)
-		return nil, err
-	}
-
-	sum := agg.summary(golden)
-	sum.Elapsed = time.Since(start)
-	if sum.TrialsDone+sum.Abnormal < uint64(c.Trials) && ctx.Err() != nil {
-		sum.Interrupted = true
-	}
-	prog.finish(agg, sum.Interrupted)
-	sink.CampaignDone(sum.Elapsed)
-	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: sum.TrialsDone},
-		telemetry.Attr{Key: "interrupted", Value: sum.Interrupted})
-	logCampaign(tel, identity, sum)
-	return sum, nil
+	return nil
 }
 
 // logCampaign emits the structured completion event for one executed
@@ -629,19 +671,17 @@ func newAggregate(procs, trials int) *aggregate {
 	}
 }
 
-// doneCount returns the number of tallied trials so far.
-func (a *aggregate) doneCount() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.completed
-}
-
 // isDone reports whether trial t's outcome is already tallied (restored
 // from a checkpoint).
 func (a *aggregate) isDone(t int) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.done[t/64]&(1<<(t%64)) != 0
+	return hasBit(a.done, t)
+}
+
+// hasBit reports whether bit t of a trial bitmap is set.
+func hasBit(words []uint64, t int) bool {
+	return words[t/64]&(1<<(t%64)) != 0
 }
 
 // record tallies one completed trial and returns the completed-trial
@@ -649,7 +689,7 @@ func (a *aggregate) isDone(t int) bool {
 func (a *aggregate) record(t int, rec TrialRecord) uint64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if a.done[t/64]&(1<<(t%64)) != 0 {
+	if hasBit(a.done, t) {
 		return a.completed
 	}
 	a.done[t/64] |= 1 << (t % 64)

@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"os"
-	"path/filepath"
 
+	"resmod/internal/durable"
 	"resmod/internal/stats"
 )
 
@@ -79,90 +78,23 @@ func (a *aggregate) snapshot(identity string) *Checkpoint {
 	return ck
 }
 
-// restore loads a Checkpoint into the (fresh) aggregate after validating
-// that it belongs to the campaign with the given identity.
-func (a *aggregate) restore(ck *Checkpoint, identity string) error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("%w: snapshot version %d, want %d",
-			ErrCheckpointMismatch, ck.Version, CheckpointVersion)
-	}
-	if ck.Identity != identity {
-		return fmt.Errorf("%w: snapshot is of %q, campaign is %q",
-			ErrCheckpointMismatch, ck.Identity, identity)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
-		len(ck.Hist) != len(a.hist) || len(ck.Spread) != len(a.spread) {
-		return fmt.Errorf("%w: snapshot shape does not fit the campaign",
-			ErrCheckpointMismatch)
-	}
-	var pop uint64
-	for _, w := range ck.Done {
-		pop += uint64(bits.OnesCount64(w))
-	}
-	if pop != ck.Completed || ck.Success+ck.SDC+ck.Failure != ck.Completed {
-		return fmt.Errorf("%w: snapshot tallies are inconsistent (%d done bits, %d completed)",
-			ErrCheckpointMismatch, pop, ck.Completed)
-	}
-	copy(a.done, ck.Done)
-	a.completed = ck.Completed
-	a.counter = stats.Counter{Success: ck.Success, SDC: ck.SDC, Failure: ck.Failure}
-	copy(a.hist, ck.Hist)
-	copy(a.spread, ck.Spread)
-	a.fired = ck.Fired
-	for x, bc := range ck.ByContamination {
-		cp := bc
-		a.byCont[x] = &cp
-	}
-	return nil
-}
-
-// restoreFromFile loads the checkpoint at path into the aggregate.  A
-// missing file is not an error — the campaign simply starts fresh, which
-// makes `-resume` safe to pass unconditionally.
-func (a *aggregate) restoreFromFile(path, identity string) error {
-	ck, err := LoadCheckpoint(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	return a.restore(ck, identity)
-}
-
-// SaveCheckpoint atomically writes the snapshot to path: the JSON is
-// written to a temporary file in the same directory and renamed into
-// place, so a crash mid-write can never corrupt an existing snapshot.
+// SaveCheckpoint durably writes the snapshot to path (see
+// durable.WriteFile), so a crash mid-write can never corrupt an existing
+// snapshot.
 func SaveCheckpoint(path string, ck *Checkpoint) error {
 	data, err := json.MarshalIndent(ck, "", " ")
 	if err != nil {
 		return fmt.Errorf("faultsim: marshaling checkpoint: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return fmt.Errorf("faultsim: creating checkpoint temp file: %w", err)
-	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr == nil {
-			werr = cerr
-		}
-		return fmt.Errorf("faultsim: writing checkpoint: %w", werr)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("faultsim: committing checkpoint: %w", err)
+	if err := durable.WriteFile(path, data); err != nil {
+		return fmt.Errorf("faultsim: writing checkpoint: %w", err)
 	}
 	return nil
 }
 
 // LoadCheckpoint reads a snapshot written by SaveCheckpoint.  A missing
-// file returns an error wrapping os.ErrNotExist.
+// file returns an error wrapping os.ErrNotExist.  The snapshot is only
+// decoded here; it is validated when a Merger merges it.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {

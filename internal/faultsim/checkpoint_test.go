@@ -60,13 +60,13 @@ func TestCheckpointFileRoundTrip(t *testing.T) {
 		t.Fatalf("checkpoint round trip mismatch:\nwant %+v\ngot  %+v", ck, got)
 	}
 
-	// The loaded snapshot restores into a fresh aggregate and reproduces
-	// an identical snapshot.
-	agg2 := newAggregate(4, 100)
-	if err := agg2.restore(got, ck.Identity); err != nil {
+	// The loaded snapshot merges into a fresh Merger and reproduces an
+	// identical snapshot.
+	m := &Merger{identity: ck.Identity, trials: 100, agg: newAggregate(4, 100)}
+	if err := m.Merge(&ShardResult{Start: 0, End: 100, Checkpoint: got}); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(agg2.snapshot(ck.Identity), ck) {
+	if !reflect.DeepEqual(m.agg.snapshot(ck.Identity), ck) {
 		t.Fatal("restore does not reproduce the snapshot")
 	}
 }

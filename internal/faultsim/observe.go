@@ -11,8 +11,8 @@ import (
 // Shard observation: the hooks the distributed tier uses to watch a
 // shard run without touching it.  A worker installs a ShardObserver on
 // the context before RunShardCtx so it can stream live tallies back to
-// the coordinator; the coordinator folds those into campaign-level
-// progress events with BuildProgressEvent.  Everything here is
+// the coordinator, whose Merger folds them into campaign-level progress
+// events (Merger.Report, Merger.Publish).  Everything here is
 // observation-only — observers see copies of the aggregate's commutative
 // counts and cannot perturb RNG streams, scheduling, or results.
 
@@ -64,11 +64,12 @@ func shardObserverFrom(ctx context.Context) ShardObserver {
 // statusOf snapshots the aggregate tallies as a ShardStatus over
 // [start, end).
 func statusOf(agg *aggregate, start, end int) ShardStatus {
-	pc := agg.progressCounts()
+	agg.mu.Lock()
+	defer agg.mu.Unlock()
 	return ShardStatus{
 		Start: start, End: end,
-		Done: pc.done, Success: pc.success, SDC: pc.sdc,
-		Failure: pc.failure, Abnormal: pc.abnormal, Retried: pc.retried,
+		Done: agg.completed, Success: agg.counter.Success, SDC: agg.counter.SDC,
+		Failure: agg.counter.Failure, Abnormal: uint64(len(agg.abnormal)), Retried: agg.retried,
 	}
 }
 
@@ -79,8 +80,8 @@ func (m *Merger) Tallies() ShardStatus {
 	return statusOf(m.agg, 0, m.trials)
 }
 
-// BuildProgressEvent assembles the campaign-kind progress event local
-// runs and distributed dispatchers both publish: tallies from st, rate
+// BuildProgressEvent assembles the campaign-kind progress event
+// Merger.Publish posts for local and distributed runs: tallies from st, rate
 // and ETA from ran trials over elapsed (ran excludes checkpoint-restored
 // trials so a resumed campaign doesn't report a fantasy rate), and
 // Wilson 95% intervals once any trial has an outcome.

@@ -24,95 +24,61 @@ func progressEvery(c Campaign) uint64 {
 	return uint64(every)
 }
 
-// campaignProgress publishes one campaign's live snapshots.  It is
-// observation-only: it reads the aggregate's tallies and never touches
-// RNG streams, trial scheduling, or the campaign identity, so results
-// stay bit-identical whether or not anyone is listening.
-type campaignProgress struct {
-	prog     *telemetry.Progress
-	identity string
-	trials   int
-	every    uint64
-	start    time.Time
-	// startDone is the trial count restored from a checkpoint before this
-	// run began: throughput and ETA cover only trials executed *this*
-	// run, so a 90%-restored campaign doesn't report a fantasy rate.
-	startDone uint64
-}
-
-// newCampaignProgress builds a publisher, or nil when the bus is off —
-// the hot path then pays a single nil check per recorded trial.
-func newCampaignProgress(prog *telemetry.Progress, c Campaign, identity string, startDone uint64) *campaignProgress {
-	if prog == nil {
-		return nil
-	}
-	return &campaignProgress{
-		prog:      prog,
-		identity:  identity,
-		trials:    c.Trials,
-		every:     progressEvery(c),
-		start:     time.Now(),
-		startDone: startDone,
-	}
-}
-
-// trialRecorded publishes a snapshot every `every` recorded trials.
-func (p *campaignProgress) trialRecorded(done uint64, agg *aggregate) {
-	if p == nil || done%p.every != 0 {
+// Publish posts the campaign's progress event in the given state to bus
+// (a no-op when bus is nil): the merged tallies plus the latest tallies of
+// every tracked in-flight shard, with rate and ETA over the trials run
+// since the Merger was created — a resumed checkpoint's trials are
+// excluded, so a 90%-restored campaign doesn't report a fantasy rate.
+// This is the one progress path: local runs publish from the trial loop's
+// cadence, distributed ones as shards report and merge.  It is
+// observation-only and never touches RNG streams, trial scheduling or
+// the campaign identity.
+func (m *Merger) Publish(bus *telemetry.Progress, state string) {
+	if bus == nil {
 		return
 	}
-	p.publish(agg, telemetry.StateRunning)
+	st := m.Tallies()
+	m.mu.Lock()
+	for _, s := range m.inflight {
+		st.Done += s.Done
+		st.Success += s.Success
+		st.SDC += s.SDC
+		st.Failure += s.Failure
+		st.Abnormal += s.Abnormal
+		st.Retried += s.Retried
+	}
+	m.mu.Unlock()
+	bus.Publish(BuildProgressEvent(m.identity, state, m.trials, st, time.Since(m.start), st.Done-m.restored))
 }
 
-// publish posts one snapshot in the given state.
-func (p *campaignProgress) publish(agg *aggregate, state string) {
-	if p == nil {
-		return
-	}
-	st := statusOf(agg, 0, p.trials)
-	var ran uint64
-	if st.Done >= p.startDone {
-		ran = st.Done - p.startDone
-	}
-	p.prog.Publish(BuildProgressEvent(p.identity, state, p.trials, st, time.Since(p.start), ran))
+// Track opens key as an in-flight shard: tallies Reported under it count
+// toward published progress until Untrack.
+func (m *Merger) Track(key string) {
+	m.mu.Lock()
+	m.inflight[key] = ShardStatus{}
+	m.mu.Unlock()
 }
 
-// finish publishes the terminal snapshot for a campaign that produced a
-// summary (clean or interrupted).
-func (p *campaignProgress) finish(agg *aggregate, interrupted bool) {
-	if p == nil {
-		return
+// Report replaces the in-flight tallies of a tracked key.  It returns
+// false, dropping the report, when key is not tracked — so a report from
+// an attempt already merged or abandoned can never double-count trials
+// that run again elsewhere.
+func (m *Merger) Report(key string, st ShardStatus) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if _, ok := m.inflight[key]; !ok {
+		return false
 	}
-	state := telemetry.StateDone
-	if interrupted {
-		state = telemetry.StateInterrupted
-	}
-	p.publish(agg, state)
+	m.inflight[key] = st
+	return true
 }
 
-// progressCounts is a point-in-time copy of the aggregate's tallies for
-// snapshot building.
-type progressCounts struct {
-	done     uint64
-	success  uint64
-	sdc      uint64
-	failure  uint64
-	abnormal uint64
-	retried  uint64
-}
-
-// progressCounts snapshots the tallies under the aggregate lock.
-func (a *aggregate) progressCounts() progressCounts {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return progressCounts{
-		done:     a.completed,
-		success:  a.counter.Success,
-		sdc:      a.counter.SDC,
-		failure:  a.counter.Failure,
-		abnormal: uint64(len(a.abnormal)),
-		retried:  a.retried,
-	}
+// Untrack drops an in-flight key's tallies: its shard merged (the merged
+// tallies now cover it) or was abandoned.
+func (m *Merger) Untrack(key string) {
+	m.mu.Lock()
+	delete(m.inflight, key)
+	m.mu.Unlock()
 }
 
 // noteRetried counts one abnormal-trial retry for live snapshots (the

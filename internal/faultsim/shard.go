@@ -5,11 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
+	"os"
+	"sort"
 	"sync"
 	"time"
 
-	"resmod/internal/apps"
 	"resmod/internal/stats"
 	"resmod/internal/telemetry"
 )
@@ -22,9 +22,9 @@ import (
 // identity — the union of any disjoint shard cover of [0, Trials) merges
 // into a Summary bit-identical to a single-node run, whatever the worker
 // count, dispatch order or re-shard history.  The partial-tally carrier
-// is the PR 1 Checkpoint: the same bitmap-plus-commutative-counts
-// snapshot that makes resume bit-identical makes shard merging
-// bit-identical.
+// is the Checkpoint: the same bitmap-plus-commutative-counts snapshot
+// that makes resume bit-identical makes shard merging bit-identical —
+// and a resume is itself a Merge of the saved snapshot.
 
 // AbnormalTrial is one trial a shard abandoned after exhausting its
 // retries — reported alongside the tallies so the coordinator can apply
@@ -53,57 +53,27 @@ type ShardResult struct {
 }
 
 // RunShardCtx executes trials [start, end) of the campaign against a
-// precomputed golden and returns the shard's partial tallies.  The
-// campaign is normalized exactly like RunAgainstCtx, so the embedded
-// identity matches the coordinator's; per-trial RNG streams are split
-// from Campaign.Seed by global trial index, so the result is independent
-// of how [0, Trials) was cut into shards.  Cancellation (or an exhausted
-// Budget) aborts the shard with an error — a half-executed shard is the
-// dispatcher's to retry, never to merge.
+// precomputed golden and returns the shard's partial tallies.  It is a
+// thin caller of the same trial loop and defaults RunAgainstCtx uses, so
+// the embedded identity matches the coordinator's and each trial's RNG
+// stream (split from Campaign.Seed by global trial index) is the one a
+// local run would draw: the result is independent of how [0, Trials)
+// was cut into shards.  A ShardObserver on the context sees the shard's
+// tallies at the campaign's progress cadence and once at the end.
+// Cancellation (or an exhausted Budget) aborts the shard with an error —
+// a half-executed shard is the dispatcher's to retry, never to merge.
 func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int) (*ShardResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if c.App == nil {
-		c.App = golden.App
-	}
-	if c.Class == "" {
-		c.Class = golden.Class
-	}
-	if golden.Procs != c.Procs {
-		return nil, fmt.Errorf("faultsim: golden has %d procs, shard campaign wants %d",
-			golden.Procs, c.Procs)
-	}
-	if c.Trials < 1 {
-		return nil, fmt.Errorf("faultsim: invalid Trials %d", c.Trials)
+	c, err := c.prepare(golden)
+	if err != nil {
+		return nil, err
 	}
 	if start < 0 || end > c.Trials || start >= end {
 		return nil, fmt.Errorf("faultsim: shard [%d,%d) outside campaign trials [0,%d)",
 			start, end, c.Trials)
 	}
-	if c.Errors < 1 {
-		c.Errors = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = apps.DefaultTimeout
-	}
-	if c.ContaminationTol == 0 {
-		c.ContaminationTol = DefaultContaminationTol
-	}
-	if c.AbnormalRetries == 0 {
-		c.AbnormalRetries = DefaultAbnormalRetries
-	}
-	if c.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.Budget)
-		defer cancel()
-	}
-	ctx, abort := context.WithCancel(ctx)
-	defer abort()
-
 	identity := c.Identity()
 	tel := telemetry.From(ctx)
 	ctx, span := tel.Tracer().Start(ctx, "shard",
@@ -115,53 +85,13 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	// The aggregate spans the whole campaign's bitmap width so the
 	// snapshot merges positionally; only [start, end) bits ever set.
 	agg := newAggregate(c.Procs, c.Trials)
-	base := stats.NewRNG(c.Seed)
-	sink := tel.Sink()
-	// Live tallies for the dispatcher, at the campaign's progress cadence.
 	obs := shardObserverFrom(ctx)
 	every := progressEvery(c)
-	var wg sync.WaitGroup
-	for w := 0; w < c.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// One arena per worker, exactly as in RunAgainstCtx: pooled
-			// state never affects trial results, so shard execution stays
-			// bit-identical to local execution.
-			arena := apps.NewArena()
-			for t := start + w; t < end; t += c.Workers {
-				if ctx.Err() != nil {
-					return
-				}
-				if err := c.Pool.Acquire(ctx); err != nil {
-					return
-				}
-				t0 := time.Now()
-				rec, err := runTrialResilient(ctx, c, golden, base, t, sink, agg, arena)
-				c.Pool.Release()
-				if err != nil {
-					if isInterruption(err) {
-						return
-					}
-					sink.TrialAbnormal()
-					if agg.recordAbnormal(t, err) > c.MaxAbnormal {
-						// The shard alone already blows the campaign-wide
-						// budget; stop burning trials, let the coordinator
-						// fail the campaign from the reported list.
-						abort()
-						return
-					}
-					continue
-				}
-				done := agg.record(t, rec)
-				sink.TrialDone(rec.Outcome.String(), time.Since(t0))
-				if obs != nil && done%every == 0 {
-					obs(statusOf(agg, start, end))
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+	interrupted := runRange(ctx, c, golden, agg, start, end, func(done uint64) {
+		if obs != nil && done%every == 0 {
+			obs(statusOf(agg, start, end))
+		}
+	})
 	if obs != nil {
 		obs(statusOf(agg, start, end))
 	}
@@ -178,7 +108,7 @@ func RunShardCtx(ctx context.Context, c Campaign, golden *Golden, start, end int
 	if len(res.Abnormal) <= c.MaxAbnormal &&
 		res.Checkpoint.Completed+uint64(len(res.Abnormal)) < uint64(end-start) {
 		return nil, fmt.Errorf("faultsim: shard [%d,%d) interrupted after %d trials: %w",
-			start, end, res.Checkpoint.Completed, context.Cause(ctx))
+			start, end, res.Checkpoint.Completed, interrupted)
 	}
 	span.SetAttr(telemetry.Attr{Key: "trials_done", Value: res.Checkpoint.Completed})
 	return res, nil
@@ -190,47 +120,65 @@ func (a *aggregate) abnormalTrials() []trialError {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	out := append([]trialError(nil), a.abnormal...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].trial < out[j-1].trial; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].trial < out[j].trial })
 	return out
 }
 
-// mergeDisjoint folds a shard snapshot into the aggregate after
-// validating that it belongs to this campaign, is internally consistent,
-// and covers no trial already merged.  All tallies are commutative
-// integer counts, so merge order cannot affect the final Summary.
-func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
-	if ck == nil {
-		return fmt.Errorf("%w: nil shard snapshot", ErrCheckpointMismatch)
+// Merger is the campaign executor's accumulator: it folds disjoint
+// ShardResults of one campaign — remote shards, local shards, or a
+// checkpoint being resumed — into the Summary a single uninterrupted run
+// would have produced, and it is the one place campaign progress is
+// published from.  Every result passes one validator before anything is
+// mutated, so a rejected Merge leaves the Merger exactly as it was.  A
+// checkpoint is a Merger snapshot.  It is safe for concurrent use
+// (dispatchers merge as shards land).
+type Merger struct {
+	identity string
+	trials   int
+	maxAbn   int
+	golden   *Golden
+	start    time.Time
+	agg      *aggregate
+	// restored counts the trials a resumed checkpoint brought in: they
+	// are excluded from the published rate and ETA.
+	restored uint64
+
+	// inflight holds the latest tallies of each tracked in-flight shard.
+	mu       sync.Mutex
+	inflight map[string]ShardStatus
+}
+
+// NewMerger prepares a merger for the campaign (with the same defaults
+// RunShardCtx applies, so the identity matches what it embeds in its
+// snapshots).
+func NewMerger(c Campaign, golden *Golden) *Merger {
+	c = c.withDefaults(golden)
+	return &Merger{
+		identity: c.Identity(),
+		trials:   c.Trials,
+		maxAbn:   c.MaxAbnormal,
+		golden:   golden,
+		start:    time.Now(),
+		agg:      newAggregate(c.Procs, c.Trials),
+		inflight: make(map[string]ShardStatus),
 	}
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("%w: snapshot version %d, want %d",
-			ErrCheckpointMismatch, ck.Version, CheckpointVersion)
-	}
-	if ck.Identity != identity {
-		return fmt.Errorf("%w: snapshot is of %q, campaign is %q",
-			ErrCheckpointMismatch, ck.Identity, identity)
-	}
+}
+
+// Identity returns the campaign identity shards must carry.
+func (m *Merger) Identity() string { return m.identity }
+
+// Merge folds one shard result in.  A result that belongs to another
+// campaign, is internally inconsistent, or overlaps trials already
+// accounted for is rejected whole — the dispatcher bug or hostile worker
+// surfaces instead of corrupting counts, and the Merger is unchanged.
+func (m *Merger) Merge(res *ShardResult) error {
+	a := m.agg
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
-		len(ck.Hist) != len(a.hist) || len(ck.Spread) != len(a.spread) {
-		return fmt.Errorf("%w: snapshot shape does not fit the campaign", ErrCheckpointMismatch)
+	if err := a.checkLocked(res, m.identity); err != nil {
+		return err
 	}
-	var pop uint64
-	for i, w := range ck.Done {
-		if a.done[i]&w != 0 {
-			return fmt.Errorf("%w: shard overlaps already-merged trials", ErrCheckpointMismatch)
-		}
-		pop += uint64(bits.OnesCount64(w))
-	}
-	if pop != ck.Completed || ck.Success+ck.SDC+ck.Failure != ck.Completed {
-		return fmt.Errorf("%w: snapshot tallies are inconsistent (%d done bits, %d completed)",
-			ErrCheckpointMismatch, pop, ck.Completed)
-	}
+	ck := res.Checkpoint
 	for i, w := range ck.Done {
 		a.done[i] |= w
 	}
@@ -253,69 +201,114 @@ func (a *aggregate) mergeDisjoint(ck *Checkpoint, identity string) error {
 		}
 		dst.Success += bc.Success
 		dst.SDC += bc.SDC
-		dst.Failure += bc.Failure
+	}
+	for _, ab := range res.Abnormal {
+		a.abnormal = append(a.abnormal, trialError{trial: ab.Trial, err: errors.New(ab.Err)})
 	}
 	return nil
 }
 
-// Merger accumulates disjoint shard results of one campaign into the
-// Summary a single-node run would have produced.  It is safe for
-// concurrent Merge calls (dispatchers merge as shards land).
-type Merger struct {
-	identity string
-	trials   int
-	maxAbn   int
-	golden   *Golden
-	start    time.Time
-
-	mu  sync.Mutex
-	agg *aggregate
-	// accounted marks trials that need no further dispatch: completed
-	// ones (the aggregate's done bits) plus abnormal ones, which a local
-	// run likewise excludes from the tallies rather than re-running.
-	accounted []uint64
-}
-
-// NewMerger prepares a merger for the campaign (normalized first, so the
-// identity matches what RunShardCtx embeds in its snapshots).
-func NewMerger(c Campaign, golden *Golden) *Merger {
-	c = c.Normalized()
-	return &Merger{
-		identity:  c.Identity(),
-		trials:    c.Trials,
-		maxAbn:    c.MaxAbnormal,
-		golden:    golden,
-		start:     time.Now(),
-		agg:       newAggregate(c.Procs, c.Trials),
-		accounted: make([]uint64, (c.Trials+63)/64),
+// checkLocked is the one validator every merged result (and so every
+// resumed checkpoint) passes: it must belong to this campaign, cover only
+// its own [Start, End), carry tallies consistent with its done bits, and
+// account for no trial that is already accounted for.  It mutates
+// nothing.  Callers hold a.mu.
+func (a *aggregate) checkLocked(res *ShardResult, identity string) error {
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("%w: "+format, append([]any{ErrCheckpointMismatch}, args...)...)
 	}
-}
-
-// Identity returns the campaign identity shards must carry.
-func (m *Merger) Identity() string { return m.identity }
-
-// Merge folds one shard result in.  A shard whose tallies overlap an
-// already-merged trial, or that belongs to a different campaign, is
-// rejected — the dispatcher bug surfaces instead of corrupting counts.
-func (m *Merger) Merge(res *ShardResult) error {
 	if res == nil || res.Checkpoint == nil {
-		return fmt.Errorf("%w: nil shard result", ErrCheckpointMismatch)
+		return bad("nil shard result")
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if err := m.agg.mergeDisjoint(res.Checkpoint, m.identity); err != nil {
+	ck := res.Checkpoint
+	if ck.Version != CheckpointVersion {
+		return bad("snapshot version %d, want %d", ck.Version, CheckpointVersion)
+	}
+	if ck.Identity != identity {
+		return bad("snapshot is of %q, campaign is %q", ck.Identity, identity)
+	}
+	if ck.Trials != a.trials || len(ck.Done) != len(a.done) ||
+		len(ck.Hist) != len(a.hist) || len(ck.Spread) != len(a.spread) {
+		return bad("snapshot shape does not fit the campaign")
+	}
+	if res.Start < 0 || res.Start >= res.End || res.End > a.trials {
+		return bad("range [%d,%d) outside campaign trials [0,%d)", res.Start, res.End, a.trials)
+	}
+	var pop uint64
+	for i, w := range ck.Done {
+		if a.done[i]&w != 0 {
+			return bad("shard overlaps already-merged trials")
+		}
+		for v := w; v != 0; v &= v - 1 {
+			if t := i*64 + bits.TrailingZeros64(v); t < res.Start || t >= res.End {
+				return bad("done trial %d outside [%d,%d)", t, res.Start, res.End)
+			}
+		}
+		pop += uint64(bits.OnesCount64(w))
+	}
+	if pop != ck.Completed || ck.Success > pop || ck.SDC > pop || ck.Failure > pop ||
+		ck.Success+ck.SDC+ck.Failure != pop {
+		return bad("snapshot tallies are inconsistent (%d done bits, %d completed)", pop, ck.Completed)
+	}
+	// The contamination profile covers exactly the non-failure trials:
+	// bin x-1 of Hist and the counter conditioned on x count the same
+	// trials.
+	var hist, cond uint64
+	for _, n := range ck.Hist {
+		if n > pop {
+			return bad("contamination histogram exceeds %d trials", pop)
+		}
+		hist += n
+	}
+	for x, bc := range ck.ByContamination {
+		if x < 1 || x > a.procs || bc.Failure != 0 || bc.Success > ck.Hist[x-1] ||
+			bc.Success+bc.SDC != ck.Hist[x-1] || bc.Success+bc.SDC == 0 {
+			return bad("conditional counter for %d contaminated ranks is inconsistent", x)
+		}
+		cond += bc.Success + bc.SDC
+	}
+	if hist != ck.Success+ck.SDC || cond != hist {
+		return bad("contamination profile covers %d trials, outcomes %d", hist, ck.Success+ck.SDC)
+	}
+	accounted := a.abnormalSetLocked()
+	for _, ab := range res.Abnormal {
+		t := ab.Trial
+		if t < res.Start || t >= res.End {
+			return bad("abnormal trial %d outside [%d,%d)", t, res.Start, res.End)
+		}
+		if hasBit(ck.Done, t) || hasBit(a.done, t) || accounted[t] {
+			return bad("abnormal trial %d is already accounted for", t)
+		}
+		accounted[t] = true
+	}
+	return nil
+}
+
+// abnormalSetLocked returns the abandoned trials as a set.  Callers hold
+// a.mu.
+func (a *aggregate) abnormalSetLocked() map[int]bool {
+	set := make(map[int]bool, len(a.abnormal))
+	for _, te := range a.abnormal {
+		set[te.trial] = true
+	}
+	return set
+}
+
+// resume merges the checkpoint at path in as a shard covering the whole
+// campaign.  A missing file is not an error — the campaign simply starts
+// fresh, which makes `-resume` safe to pass unconditionally.
+func (m *Merger) resume(path string) error {
+	ck, err := LoadCheckpoint(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
 		return err
 	}
-	for i, w := range res.Checkpoint.Done {
-		m.accounted[i] |= w
+	if err := m.Merge(&ShardResult{Start: 0, End: m.trials, Checkpoint: ck}); err != nil {
+		return err
 	}
-	for _, ab := range res.Abnormal {
-		if ab.Trial < 0 || ab.Trial >= m.trials {
-			return fmt.Errorf("%w: abnormal trial %d outside campaign", ErrCheckpointMismatch, ab.Trial)
-		}
-		m.agg.recordAbnormal(ab.Trial, errors.New(ab.Err))
-		m.accounted[ab.Trial/64] |= 1 << (ab.Trial % 64)
-	}
+	m.restored = m.Done()
 	return nil
 }
 
@@ -330,51 +323,33 @@ func (m *Merger) AbnormalExceeded() bool {
 
 // Done returns how many trials are tallied so far.
 func (m *Merger) Done() uint64 {
-	return m.agg.doneCount()
+	return m.Tallies().Done
 }
 
 // Complete reports whether every trial is accounted for (tallied or
 // abandoned as abnormal).
 func (m *Merger) Complete() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.completeLocked()
-}
-
-func (m *Merger) completeLocked() bool {
-	for t := 0; t < m.trials; t += 64 {
-		want := ^uint64(0)
-		if m.trials-t < 64 {
-			want = (uint64(1) << (m.trials - t)) - 1
-		}
-		if m.accounted[t/64]&want != want {
-			return false
-		}
-	}
-	return true
+	return len(m.Missing(0, m.trials)) == 0
 }
 
 // Missing returns the maximal contiguous unaccounted trial ranges within
-// [start, end) — the re-dispatch list after a shard is lost.
+// [start, end) — the re-dispatch list after a shard is lost.  A trial is
+// accounted for once it is tallied or abandoned as abnormal (a local run
+// likewise excludes abnormal trials rather than re-running them).
 func (m *Merger) Missing(start, end int) [][2]int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	a := m.agg
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	abnormal := a.abnormalSetLocked()
 	var out [][2]int
-	runStart := -1
 	for t := start; t < end; t++ {
-		if m.accounted[t/64]&(1<<(t%64)) == 0 {
-			if runStart < 0 {
-				runStart = t
-			}
-			continue
+		switch n := len(out); {
+		case hasBit(a.done, t) || abnormal[t]:
+		case n > 0 && out[n-1][1] == t:
+			out[n-1][1]++
+		default:
+			out = append(out, [2]int{t, t + 1})
 		}
-		if runStart >= 0 {
-			out = append(out, [2]int{runStart, t})
-			runStart = -1
-		}
-	}
-	if runStart >= 0 {
-		out = append(out, [2]int{runStart, end})
 	}
 	return out
 }
@@ -385,15 +360,12 @@ func (m *Merger) Missing(start, end int) [][2]int {
 // bit-identical (Elapsed aside, which is wall time by definition) to
 // RunAgainstCtx over the full range.
 func (m *Merger) Summary() (*Summary, error) {
-	m.mu.Lock()
-	complete := m.completeLocked()
-	m.mu.Unlock()
 	if err := m.agg.fatalError(m.maxAbn); err != nil {
 		return nil, err
 	}
-	if !complete {
+	if !m.Complete() {
 		return nil, fmt.Errorf("faultsim: merged shards cover %d of %d trials",
-			m.agg.doneCount(), m.trials)
+			m.Done(), m.trials)
 	}
 	sum := m.agg.summary(m.golden)
 	sum.Elapsed = time.Since(m.start)

@@ -436,8 +436,8 @@ func (s *Server) validate(req PredictionRequest) (PredictionRequest, error) {
 	if !classOK {
 		return req, fmt.Errorf("app %s has no class %q (classes: %v)", req.App, req.Class, a.Classes())
 	}
-	if req.Small < 1 || req.Large < 2 || req.Small >= req.Large {
-		return req, fmt.Errorf("want 1 <= small < large, got small=%d large=%d", req.Small, req.Large)
+	if req.Small < 2 || req.Small >= req.Large {
+		return req, fmt.Errorf("want 2 <= small < large, got small=%d large=%d", req.Small, req.Large)
 	}
 	if req.Large%req.Small != 0 {
 		return req, fmt.Errorf("small must divide large (the paper's sampling map), got %d and %d",

@@ -384,6 +384,7 @@ func TestValidation(t *testing.T) {
 		`{"app":"NOPE","small":4,"large":8}`,
 		`{"app":"PENNANT","small":8,"large":4}`,
 		`{"app":"PENNANT","small":0,"large":8}`,
+		`{"app":"PENNANT","small":1,"large":8}`,
 		`{"app":"PENNANT","small":3,"large":8}`,
 		`{"app":"PENNANT","class":"bogus","small":4,"large":8}`,
 		`{"app":"PENNANT","small":4,"large":8,"trials":9}`,

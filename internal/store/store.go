@@ -7,9 +7,9 @@
 // lives at <dir>/<sha256(key)>.json inside an envelope that repeats the
 // full key, so a (vanishingly unlikely) hash collision or a file copied
 // between stores is detected and treated as a miss rather than served as
-// a wrong result.  Writes go through a temp file and an atomic rename; a
-// crash mid-write can therefore truncate only the temp file, never a
-// committed entry, and a corrupt or partial file on disk is skipped (and
+// a wrong result.  Writes go through durable.WriteFile (temp file, fsync,
+// atomic rename, directory fsync); a crash mid-write can therefore
+// truncate only the temp file, never a committed entry, and a corrupt or partial file on disk is skipped (and
 // counted) instead of failing the caller.
 package store
 
@@ -23,6 +23,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"resmod/internal/durable"
 )
 
 // DefaultMaxEntries is the LRU capacity used when Config.MaxEntries is
@@ -158,23 +160,8 @@ func (s *Store) Put(key string, data []byte) error {
 		if err != nil {
 			return fmt.Errorf("store: marshaling %q: %w", key, err)
 		}
-		path := s.path(key)
-		tmp, err := os.CreateTemp(s.dir, filepath.Base(path)+".tmp*")
-		if err != nil {
-			return fmt.Errorf("store: creating temp file: %w", err)
-		}
-		_, werr := tmp.Write(env)
-		cerr := tmp.Close()
-		if werr != nil || cerr != nil {
-			os.Remove(tmp.Name())
-			if werr == nil {
-				werr = cerr
-			}
-			return fmt.Errorf("store: writing %q: %w", key, werr)
-		}
-		if err := os.Rename(tmp.Name(), path); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("store: committing %q: %w", key, err)
+		if err := durable.WriteFile(s.path(key), env); err != nil {
+			return fmt.Errorf("store: writing %q: %w", key, err)
 		}
 	}
 	s.mu.Lock()
